@@ -724,6 +724,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.queries:
         config.query_ids = tuple(qid.upper()
                                  for qid in args.queries.split(","))
+    if not all(_query_defined(qid, class_key)
+               for class_key in config.class_keys
+               if class_key in CLASSES_BY_KEY
+               for qid in config.query_ids):
+        return 1
     bench = XBench(config)
     sampler = None
     if args.sample_resources:
@@ -758,6 +763,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _query_defined(qid: str, class_key: str) -> bool:
+    """Whether workload query ``qid`` has a text for ``class_key``;
+    prints the CLI's error line when it has not."""
+    query = QUERIES_BY_ID.get(qid)
+    if query is not None and query.applies_to(class_key):
+        return True
+    print(f"error: {qid} is not defined for {class_key}", file=sys.stderr)
+    return False
+
+
 def _normalize_class_key(raw: str) -> str:
     """Accept ``dc_sd``/``DC-SD``-style spellings for class keys."""
     return raw.lower().replace("_", "").replace("-", "")
@@ -782,10 +797,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     qid = args.qid.upper()
-    query = QUERIES_BY_ID.get(qid)
-    if query is None or not query.applies_to(class_key):
-        print(f"error: {qid} is not defined for {class_key}",
-              file=sys.stderr)
+    if not _query_defined(qid, class_key):
         return 1
 
     db_class = CLASSES_BY_KEY[class_key]
@@ -1331,10 +1343,7 @@ def _load_engine(engine_key: str, class_key: str, units: int,
 
 def _cmd_query(args: argparse.Namespace) -> int:
     qid = args.qid.upper()
-    query = QUERIES_BY_ID.get(qid)
-    if query is None or not query.applies_to(args.class_key):
-        print(f"error: {qid} is not defined for {args.class_key}",
-              file=sys.stderr)
+    if not _query_defined(qid, args.class_key):
         return 1
     with _load_engine(args.engine, args.class_key, args.units,
                       args.seed) as engine:
@@ -1343,7 +1352,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(f"{qid} on {args.class_key} via {engine.row_label}: "
               f"{len(outcome.values)} item(s) in "
               f"{outcome.seconds * 1000:.2f} ms")
-        print(f"  query: {query.text_for(args.class_key)}")
+        print(f"  query: "
+              f"{QUERIES_BY_ID[qid].text_for(args.class_key)}")
         print(f"  params: {params}")
         for value in outcome.values[:args.limit]:
             preview = (value if len(value) <= 100

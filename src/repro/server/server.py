@@ -167,9 +167,21 @@ class ServerConfig:
     #: load time; the WAL then grows until an explicit checkpoint).
     checkpoint_interval: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.data_dir is not None:
+            _require_durable_shards(self.shards)
+
     def default_spec(self) -> EngineSpec:
         return EngineSpec(self.engine, self.class_key, self.units,
                           self.shards, self.replicas)
+
+
+def _require_durable_shards(shards: int) -> None:
+    """Durable mode journals writes per shard; an unsharded spec has no
+    WAL, so its acknowledged writes would not survive a restart."""
+    if shards < 2:
+        raise ServerError("durable mode (--data-dir) requires a sharded "
+                          f"engine (--shards >= 2), got shards={shards}")
 
 
 class _EngineCache:
@@ -247,9 +259,11 @@ class _EngineCache:
 
     def _spec_data_dir(self, spec: EngineSpec):
         """The durable subdirectory of one engine spec (None when the
-        server runs memory-only or the spec is not sharded)."""
-        if self._config.data_dir is None or spec.shards <= 1:
+        server runs memory-only).  Raises :class:`ServerError` for an
+        unsharded spec on a durable server."""
+        if self._config.data_dir is None:
             return None
+        _require_durable_shards(spec.shards)
         from pathlib import Path
         return (Path(self._config.data_dir)
                 / f"{spec.engine}-{spec.class_key}"
@@ -384,6 +398,7 @@ class QueryServer:
         self._draining = False
         self._dispatchers: list[asyncio.Task] = []
         self._writers: set[asyncio.StreamWriter] = set()
+        self._handlers: set[asyncio.Task] = set()
         self._sessions = 0
         self.port: int | None = None
         self.counters: dict[str, int] = {
@@ -468,10 +483,13 @@ class QueryServer:
         self._work.set()
 
     async def _close_connections(self) -> None:
+        """Close every client connection, then wait for its handler to
+        finish, so no handler task is cancelled with its loop."""
         for writer in list(self._writers):
             with contextlib.suppress(OSError):
                 writer.close()
         self._writers.clear()
+        await asyncio.gather(*self._handlers, return_exceptions=True)
 
     async def run(self) -> int:
         """CLI entry: start, announce, install signal handlers, drain."""
@@ -508,15 +526,12 @@ class QueryServer:
         startup: list[BaseException] = []
 
         def runner() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._thread_loop = loop
+            # asyncio.run, as `repro serve` uses: tasks still pending
+            # when the server returns are cancelled, not dropped.
             try:
-                loop.run_until_complete(self._background_main(started,
-                                                              startup))
+                asyncio.run(self._background_main(started, startup))
             finally:
                 started.set()
-                loop.close()
 
         self._thread = threading.Thread(target=runner, daemon=True,
                                         name="repro-serve-loop")
@@ -529,6 +544,7 @@ class QueryServer:
 
     async def _background_main(self, started: threading.Event,
                                startup: list) -> None:
+        self._thread_loop = asyncio.get_running_loop()
         try:
             await self.start()
         except BaseException as exc:    # surfaced on the caller thread
@@ -536,8 +552,6 @@ class QueryServer:
             return
         started.set()
         await self.serve_until_drained()
-        loop = asyncio.get_running_loop()
-        await loop.shutdown_default_executor()
 
     def stop_background(self, timeout: float = 30.0) -> None:
         """Drain the background server and join its thread."""
@@ -551,6 +565,8 @@ class QueryServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
         self._writers.add(writer)
         session: _Session | None = None
         try:
@@ -572,6 +588,7 @@ class QueryServer:
                 if done:
                     break
         finally:
+            self._handlers.discard(task)
             self._writers.discard(writer)
             with contextlib.suppress(OSError):
                 writer.close()

@@ -26,7 +26,8 @@ class Node:
 
     def __init__(self) -> None:
         self.parent: Optional[Node] = None
-        # Position in document order; assigned by Document.refresh_order().
+        # Position in document order; assigned by the parser, the binary
+        # decoder or Document.refresh_order().
         self.order_key: int = -1
 
     # -- navigation ------------------------------------------------------

@@ -363,6 +363,12 @@ def _fuse_descendant_steps(steps: list) -> list:
     return fused
 
 
+# Axes whose nodes, from a single context node, are already distinct and
+# in document order (see _axis_nodes).
+_ORDERED_AXES = frozenset({"child", "attribute", "self", "parent",
+                           "descendant", "descendant-or-self"})
+
+
 def _eval_step(step: object, input_sequence: list, context: Context,
                initial: bool) -> list:
     results: list = []
@@ -406,6 +412,11 @@ def _eval_step(step: object, input_sequence: list, context: Context,
         raise XQueryTypeError(
             "path step mixes nodes and atomic values")
     if any_node:
+        if (isinstance(step, ast.AxisStep) and step.axis in _ORDERED_AXES
+                and (initial or len(input_sequence) == 1)):
+            # One context node: these axes already yield distinct nodes
+            # in document order, so the sort would change nothing.
+            return results
         return document_order(results)
     return results
 

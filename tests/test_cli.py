@@ -35,6 +35,13 @@ class TestCli:
         assert main(["query", "Q4", "dcsd", "--units", "10"]) == 1
         assert "not defined" in capsys.readouterr().err
 
+    def test_profile_wrong_class_errors(self, capsys, tmp_path):
+        assert main(["profile", "--divisor", "5000", "--classes", "dcmd",
+                     "--queries", "Q2", "--obs-out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "error: Q2 is not defined for dcmd" in captured.err
+        assert not any(tmp_path.iterdir())      # nothing was run
+
     def test_query_unsupported_engine_class(self, capsys):
         # Xcolumn cannot hold single-document classes.
         assert main(["query", "Q8", "dcsd", "--engine", "xcolumn",

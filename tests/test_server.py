@@ -311,3 +311,39 @@ def test_graceful_drain_completes_in_flight_queries():
                                      timeout=1.0).close()
     finally:
         server.stop_background()
+
+
+def test_drain_with_idle_connection_prints_no_traceback(capfd, caplog):
+    server = start_server(executors=1)
+    idle = socket.create_connection(("127.0.0.1", server.port),
+                                    timeout=5.0)
+    try:
+        time.sleep(0.1)                         # handler now reading
+        server.stop_background()
+        assert not server._thread.is_alive()
+    finally:
+        idle.close()
+    # asyncio reports a cancelled handler through its logger, which
+    # pytest captures apart from stderr; look at both.
+    output = capfd.readouterr().err + caplog.text
+    assert "CancelledError" not in output
+    assert "Exception in callback" not in output
+
+
+def test_durable_config_requires_shards():
+    with pytest.raises(ServerError, match="--shards >= 2"):
+        ServerConfig(class_key="dcmd", units=UNITS, data_dir="unused")
+
+
+def test_durable_server_rejects_unsharded_hello(tmp_path):
+    server = start_server(shards=2, data_dir=str(tmp_path),
+                          preload=False)
+    try:
+        with ServingClient(port=server.port) as client:
+            reply = client.hello(shards=0)
+        assert not reply["ok"]
+        assert reply["error"] == "ServerError"
+        assert "--shards >= 2" in reply["message"]
+        assert not any(tmp_path.iterdir())      # nothing was journaled
+    finally:
+        server.stop_background()

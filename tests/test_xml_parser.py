@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import gc
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.databases import CLASSES_BY_KEY
+from repro.databases.base import SMALL
 from repro.errors import XMLParseError
 from repro.xml.nodes import Comment, Element, Text
 from repro.xml.parser import parse_document, parse_fragment
@@ -195,3 +201,213 @@ class TestRoundTrip:
             for name, text in corpus["texts"][:3]:
                 reparsed = parse_document(text, name=name)
                 assert serialize(reparsed) == text
+
+
+# -- equivalence over the generated classes ----------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_scale_texts():
+    """Every document of all four classes at small scale (divisor 100)."""
+    texts = {}
+    for key, db_class in CLASSES_BY_KEY.items():
+        units = db_class.units_for_budget(SMALL.budget(100), seed=5)
+        texts[key] = [(doc.name, serialize(doc))
+                      for doc in db_class.generate(units, seed=5)]
+    return texts
+
+
+def order_keys(node) -> list:
+    """Every node's ``order_key``, in a depth-first walk."""
+    keys = [node.order_key]
+    if isinstance(node, Element):
+        keys.extend(attr.order_key for attr in node.attributes.values())
+    for child in getattr(node, "children", ()):
+        keys.extend(order_keys(child))
+    return keys
+
+
+class TestEquivalence:
+    def test_every_small_scale_document_round_trips(self, small_scale_texts):
+        assert sorted(small_scale_texts) == ["dcmd", "dcsd", "tcmd", "tcsd"]
+        for texts in small_scale_texts.values():
+            assert texts
+            for name, text in texts:
+                assert serialize(parse_document(text, name=name)) == text
+
+    def test_order_keys_equal_refresh_order(self, small_scale_texts):
+        for texts in small_scale_texts.values():
+            for name, text in texts:
+                document = parse_document(text, name=name)
+                parsed = order_keys(document)
+                document.refresh_order()
+                assert parsed == order_keys(document)
+
+    def test_order_keys_cover_every_node_kind(self):
+        document = parse_document(
+            '<?xml version="1.0"?><!--a--><!DOCTYPE r [<!ENTITY x "y">]>'
+            '<r k="1" j="2">t<![CDATA[u]]>v<!--c--><?pi?>w<e/>x</r>'
+            "<!--z-->")
+        parsed = order_keys(document)
+        assert parsed == list(range(len(parsed)))
+        document.refresh_order()
+        assert parsed == order_keys(document)
+
+    def test_fragment_order_keys_follow_document_order(self):
+        element = parse_fragment("<x a='1'>t<y b='2'/><!--c--></x>")
+        assert order_keys(element) == [0, 1, 2, 3, 4, 5]
+
+    def test_deep_nesting_needs_no_recursion(self):
+        depth = 5000
+        node = parse_document("<a>" * depth + "</a>" * depth)
+        keys = []
+        while node.children:
+            node = node.children[0]
+            keys.append(node.order_key)
+        assert keys == list(range(1, depth + 1))
+
+    def test_collector_state_restored(self):
+        assert gc.isenabled()
+        parse_document("<a><b/></a>")
+        assert gc.isenabled()
+        with pytest.raises(XMLParseError):
+            parse_document("<a><b></a>")
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            parse_fragment("<a/>")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+class TestErrorLocations:
+    @pytest.mark.parametrize("bad, line, column", [
+        ("", 1, 1),
+        ("<a>", 1, 4),
+        ("<a></b>", 1, 7),
+        ("<a/><b/>", 1, 5),
+        ("<a x=1/>", 1, 6),
+        ('<a x="1" x="2"/>', 1, 13),
+        ("<a><b></a></b>", 1, 10),
+        ("text only", 1, 1),
+        ("<a b></a>", 1, 5),
+        ('<a x="<"/>', 1, 7),
+        ("<a>&#xZZ;</a>", 1, 4),
+        ("<1tag/>", 1, 2),
+        ("<a>\n\n<b></a>", 3, 7),
+        ("<a x='1'y='2'/>", 1, 9),
+        ("<a/ >", 1, 3),
+        ("<a>&amp</a>", 1, 4),
+        ("<a><!-- x</a>", 1, 8),
+        ("<a></a >x", 1, 9),
+        ("<!DOCTYPE a [", 1, 14),
+    ])
+    def test_line_and_column(self, bad, line, column):
+        with pytest.raises(XMLParseError) as info:
+            parse_document(bad)
+        assert (info.value.line, info.value.column) == (line, column)
+
+
+# -- properties --------------------------------------------------------------
+
+xmlish = st.lists(st.sampled_from(
+    list("<>/!?-[]&;#x=\"' \t\nab:1") + ["<!--", "-->", "<![CDATA[",
+                                           "]]>", "&amp;", "&#65;",
+                                           "<a>", "</a>", "<?", "?>"]),
+    max_size=30).map("".join)
+
+
+class TestFuzz:
+    @given(st.one_of(st.text(max_size=60), xmlish))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_raises_only_parse_errors(self, text):
+        for parse in (parse_document, parse_fragment):
+            try:
+                parse(text)
+            except XMLParseError:
+                pass
+
+    @given(st.from_regex(r"&#x?[0-9a-fA-F]{0,30};", fullmatch=True))
+    @settings(max_examples=100, deadline=None)
+    def test_character_references_raise_only_parse_errors(self, ref):
+        try:
+            parse_document(f"<a>{ref}</a>")
+        except XMLParseError:
+            pass
+
+
+names = st.text(alphabet="abcxyz_:-.", min_size=1, max_size=5).filter(
+    lambda name: name[0] not in "-.")
+chars = st.text(alphabet=st.sampled_from(list("ab <>&\"'\n") + ["\u20ac"]),
+                min_size=1, max_size=8)
+ESCAPES = {"<": ["&lt;", "&#60;"], ">": [">", "&gt;"],
+           "&": ["&amp;", "&#x26;"], '"': ["&quot;", "&#34;"],
+           "'": ["&apos;", "&#X27;"], "\u20ac": ["\u20ac", "&#x20AC;"]}
+
+
+@st.composite
+def escaped(draw, raw: str) -> str:
+    return "".join(draw(st.sampled_from(ESCAPES[char])) if char in ESCAPES
+                   else char for char in raw)
+
+
+@st.composite
+def trees(draw, depth: int = 3):
+    """``(xml, model)``: a well-formed element and the node tree the
+    parser must build from it, as nested tuples."""
+    tag = draw(names)
+    markup, attributes = [f"<{tag}"], []
+    for name in draw(st.lists(names, max_size=3, unique=True)):
+        value = draw(chars)
+        quote = draw(st.sampled_from(['"', "'"]))
+        markup.append(f" {name}{draw(st.sampled_from(['=', ' = ']))}"
+                      f"{quote}{draw(escaped(value))}{quote}")
+        attributes.append((name, value))
+    markup.append(">")
+    children: list = []
+    for __ in range(draw(st.integers(0, 4)) if depth else 0):
+        kind = draw(st.sampled_from(["text", "cdata", "comment", "element"]))
+        if kind == "element":
+            xml, model = draw(trees(depth - 1))
+            markup.append(xml)
+            children.append(model)
+        elif kind == "comment":
+            body = draw(st.text(alphabet="ab <>&", max_size=6))
+            markup.append(f"<!--{body}-->")
+            children.append(("comment", body))
+        else:
+            raw = draw(chars)
+            markup.append(f"<![CDATA[{raw}]]>" if kind == "cdata"
+                          else draw(escaped(raw)))
+            # Character data and CDATA merge into one text node.
+            if children and children[-1][0] == "text":
+                raw = children.pop()[1] + raw
+            children.append(("text", raw))
+    markup.append(f"</{tag}>")
+    return "".join(markup), ("element", tag, attributes, children)
+
+
+def model_of(node):
+    if isinstance(node, Element):
+        return ("element", node.tag,
+                [(a.name, a.value) for a in node.attributes.values()],
+                [model_of(child) for child in node.children])
+    return ("comment" if isinstance(node, Comment) else "text", node.text)
+
+
+class TestGeneratedTrees:
+    @given(trees())
+    @settings(max_examples=150, deadline=None)
+    def test_well_formed_trees_parse_to_their_model(self, tree):
+        xml, model = tree
+        document = parse_document(xml)
+        assert model_of(document.root_element) == model
+        assert model_of(parse_fragment(xml)) == model
+        assert order_keys(document) == list(range(len(order_keys(document))))
+
+    @given(trees())
+    @settings(max_examples=100, deadline=None)
+    def test_serialized_trees_round_trip(self, tree):
+        canonical = serialize(parse_document(tree[0]))
+        assert serialize(parse_document(canonical)) == canonical

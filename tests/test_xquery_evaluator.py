@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.indexes import indexes_for
+from repro.engines import NativeEngine
 from repro.errors import XQueryEvalError, XQueryTypeError
+from repro.workload import bind_params
+from repro.workload.queries import EXPERIMENT_QUERIES
 from repro.xml.nodes import Attribute, Element
 from repro.xml.parser import parse_document
 from repro.xml.serializer import serialize
-from repro.xquery import run_query
+from repro.xquery import evaluator, run_query
 
 
 @pytest.fixture
@@ -319,3 +323,34 @@ class TestContextItem:
     def test_casting_path_result(self, doc):
         result = run_query("xs:decimal(/catalog/item[1]/price)", [doc])
         assert result == [12.5]
+
+
+class TestStepOrderSkip:
+    """A step from one context node on an ordered axis returns its
+    nodes unsorted; the answers must equal the always-sorted ones."""
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    @pytest.mark.parametrize("key", ["dcsd", "dcmd", "tcsd", "tcmd"])
+    def test_experiment_answers_unchanged(self, key, indexed,
+                                          small_corpora, monkeypatch):
+        corpus = small_corpora[key]
+        engine = NativeEngine()
+        engine.timed_load(corpus["class"], corpus["texts"])
+        if indexed:
+            engine.create_indexes(list(indexes_for(key)))
+        requests = [(qid, bind_params(qid, key, corpus["units"]))
+                    for qid in EXPERIMENT_QUERIES]
+        skipping = [engine.execute(qid, params) for qid, params in requests]
+        monkeypatch.setattr(evaluator, "_ORDERED_AXES", frozenset())
+        sorting = [engine.execute(qid, params) for qid, params in requests]
+        assert skipping == sorting
+        assert any(skipping)
+
+    def test_multi_node_input_still_sorted(self):
+        # Nested context nodes: their descendants overlap, and two b's
+        # share a parent, so these steps still need the sort.
+        doc = parse_document("<r><a><b>1</b><a><b>2</b></a><b>3</b></a></r>")
+        values = run_query("for $b in //a/descendant::b "
+                           "return string($b)", [doc])
+        assert values == ["1", "2", "3"]
+        assert run_query("count(//b/..)", [doc]) == [2]
